@@ -10,11 +10,13 @@
 //!
 //! * [`id::ChordId`] — M-bit ring identifiers with wrapping interval
 //!   arithmetic;
-//! * [`node::ChordNode`] — per-node state: successor list, predecessor,
-//!   finger table;
-//! * [`net::SimNet`] — the in-process network: iterative
-//!   `find_successor` with per-hop counting, node join/leave/fail,
-//!   stabilization and finger repair;
+//! * [`node::RouteTable`] — every alive node's successor list,
+//!   predecessor and finger table as one flat ring-ordered table, and the
+//!   iterative `find_successor` walk over it with per-hop counting;
+//!   [`node::ChordNode`] is a read-only view of one node;
+//! * [`net::SimNet`] — the in-process network: lookups with statistics,
+//!   node join/leave/fail, stabilization and finger repair, all keeping
+//!   the table current;
 //! * [`virtual_nodes::VirtualRing`] — CFS-style virtual servers (used by
 //!   the ablation experiments).
 //!
@@ -43,11 +45,11 @@
 pub mod id;
 pub mod net;
 pub mod node;
-pub mod snapshot;
+#[cfg(test)]
+mod snapshot;
 pub mod virtual_nodes;
 
 pub use id::ChordId;
 pub use net::{LookupResult, SimNet};
-pub use node::ChordNode;
-pub use snapshot::RouteSnapshot;
+pub use node::{ChordNode, RouteTable};
 pub use virtual_nodes::VirtualRing;

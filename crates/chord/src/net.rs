@@ -1,15 +1,13 @@
 //! The in-process Chord network: routing, membership and maintenance.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use clash_keyspace::hash::HashSpace;
 use clash_simkernel::rng::DetRng;
 
 use crate::id::ChordId;
-use crate::node::ChordNode;
-use crate::snapshot::RouteSnapshot;
+use crate::node::{ChordNode, RouteTable};
 
 /// Result of one `find_successor` lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,13 +45,19 @@ impl NetStats {
 /// A simulated Chord ring.
 ///
 /// All nodes live in one process; "messages" are method calls with hop
-/// counting. Failed nodes keep their (stale) state but are invisible to
-/// routing, exactly as a crashed host would be; [`SimNet::stabilize_round`]
-/// and [`SimNet::fix_fingers_round`] implement the Chord maintenance
-/// protocol that repairs pointers around failures and joins.
+/// counting. Every alive node's routing state is one row of the ring's
+/// [`RouteTable`], and every lookup walks that table. A failed node loses
+/// its row — it is invisible to routing, exactly as a crashed host would
+/// be — but its identifier stays taken until it is garbage-collected;
+/// [`SimNet::stabilize_round`] and [`SimNet::fix_fingers_round`]
+/// implement the Chord maintenance protocol that repairs pointers around
+/// failures and joins.
 pub struct SimNet {
     space: HashSpace,
-    nodes: BTreeMap<u64, ChordNode>,
+    table: RouteTable,
+    /// Failed nodes whose identifiers are still taken (see
+    /// [`SimNet::remove_failed`]).
+    corpses: BTreeSet<u64>,
     succ_list_len: usize,
     stats: NetStats,
     /// Worker threads the ground-truth stabilization paths
@@ -63,21 +67,6 @@ pub struct SimNet {
     /// is bit-for-bit identical for every value; 1 (the default) stays
     /// inline.
     stabilize_workers: usize,
-    /// Memoized first *alive* successor per node. Routing consults this
-    /// once per hop of every lookup; between membership/maintenance
-    /// events successor lists and liveness are static, so the walk down
-    /// the successor list is paid once per node instead of once per hop.
-    /// Any mutation that can change the answer (join, fail, removal,
-    /// stabilization, `build_stable`) clears the whole cache — those
-    /// events are rare next to lookups.
-    succ_cache: RefCell<BTreeMap<u64, ChordId>>,
-    /// Memoized alive node ids in ring order — what
-    /// [`SimNet::random_alive`] indexes into. Rebuilding this vector per
-    /// client entry-point draw was an O(ring) cost on *every* probe;
-    /// the cache is invalidated together with `succ_cache`, and the
-    /// indexing (same sorted order, same single `uniform_index` draw)
-    /// picks bit-for-bit the same node the rebuild would have.
-    alive_cache: RefCell<Option<Vec<ChordId>>>,
 }
 
 impl SimNet {
@@ -85,23 +74,29 @@ impl SimNet {
     /// default successor-list length (`⌈log₂ expected-nodes⌉` is typical;
     /// we default to 8).
     pub fn new(space: HashSpace) -> Self {
-        SimNet {
-            space,
-            nodes: BTreeMap::new(),
-            succ_list_len: 8,
-            stats: NetStats::default(),
-            stabilize_workers: 1,
-            succ_cache: RefCell::new(BTreeMap::new()),
-            alive_cache: RefCell::new(None),
-        }
+        SimNet::from_ids(space, [])
     }
 
-    /// Drops every memoized first-alive-successor entry and the alive-id
-    /// vector. Called by every mutation that can change liveness or a
-    /// successor list.
-    fn invalidate_succ_cache(&self) {
-        self.succ_cache.borrow_mut().clear();
-        *self.alive_cache.borrow_mut() = None;
+    /// Creates a ring of solitary (unwired) nodes with the given
+    /// identifiers, duplicates ignored, in one pass — the bulk form of
+    /// [`SimNet::add_node`].
+    pub fn from_ids(space: HashSpace, ids: impl IntoIterator<Item = ChordId>) -> Self {
+        const DEFAULT_SUCC_LIST_LEN: usize = 8;
+        let values: BTreeSet<u64> = ids
+            .into_iter()
+            .map(|id| {
+                debug_assert_eq!(id.space(), space);
+                id.value()
+            })
+            .collect();
+        SimNet {
+            space,
+            table: RouteTable::solitary(space, DEFAULT_SUCC_LIST_LEN, values.into_iter().collect()),
+            corpses: BTreeSet::new(),
+            succ_list_len: DEFAULT_SUCC_LIST_LEN,
+            stats: NetStats::default(),
+            stabilize_workers: 1,
+        }
     }
 
     /// Sets the successor-list length (fault-tolerance depth).
@@ -112,6 +107,7 @@ impl SimNet {
     pub fn set_successor_list_len(&mut self, len: usize) {
         assert!(len > 0, "successor list length must be positive");
         self.succ_list_len = len;
+        self.table.reserve_successors(len);
     }
 
     /// Sets the worker count for the partitioned ground-truth
@@ -133,12 +129,11 @@ impl SimNet {
             (n as u128) <= space.size(),
             "cannot place {n} nodes in a {space} hash space"
         );
-        let mut net = SimNet::new(space);
-        while net.nodes.len() < n {
-            let id = ChordId::new(rng.next_u64(), space);
-            net.add_node(id);
+        let mut ids = BTreeSet::new();
+        while ids.len() < n {
+            ids.insert(ChordId::new(rng.next_u64(), space));
         }
-        net
+        SimNet::from_ids(space, ids)
     }
 
     /// The ring's hash space.
@@ -146,40 +141,48 @@ impl SimNet {
         self.space
     }
 
+    /// The ring's routing table: every alive node's routing state, which
+    /// every lookup walks. `Sync`, so batched lookups on worker threads
+    /// borrow it directly.
+    pub fn table(&self) -> &RouteTable {
+        &self.table
+    }
+
     /// Adds a solitary (unwired) node. Returns false if the identifier is
-    /// already taken.
+    /// already taken (by an alive or a failed node).
     pub fn add_node(&mut self, id: ChordId) -> bool {
         debug_assert_eq!(id.space(), self.space);
-        if self.nodes.contains_key(&id.value()) {
+        if self.node(id).is_some() {
             return false;
         }
-        self.nodes.insert(id.value(), ChordNode::solitary(id));
-        self.invalidate_succ_cache();
+        self.table.insert_solitary(id.value());
         true
     }
 
     /// Number of alive nodes.
     pub fn alive_count(&self) -> usize {
-        self.nodes.values().filter(|n| n.is_alive()).count()
+        self.table.len()
     }
 
     /// Identifiers of all alive nodes, in ring order.
     pub fn node_ids(&self) -> Vec<ChordId> {
-        self.nodes
+        self.table
             .values()
-            .filter(|n| n.is_alive())
-            .map(|n| n.id())
+            .iter()
+            .map(|&v| ChordId::new(v, self.space))
             .collect()
     }
 
-    /// Immutable access to a node's state.
-    pub fn node(&self, id: ChordId) -> Option<&ChordNode> {
-        self.nodes.get(&id.value())
+    /// A view of a node's state: `Some` for alive nodes and for failed
+    /// nodes whose identifier is still taken.
+    pub fn node(&self, id: ChordId) -> Option<ChordNode<'_>> {
+        let taken = self.is_alive(id) || self.corpses.contains(&id.value());
+        taken.then(|| ChordNode::new(id, &self.table))
     }
 
     /// True if `id` names an alive node.
     pub fn is_alive(&self, id: ChordId) -> bool {
-        self.nodes.get(&id.value()).is_some_and(|n| n.is_alive())
+        self.table.row_of(id.value()).is_some()
     }
 
     /// A uniformly random alive node (for client entry points).
@@ -188,108 +191,94 @@ impl SimNet {
     ///
     /// Panics if the ring has no alive nodes.
     pub fn random_alive(&self, rng: &mut DetRng) -> ChordId {
-        let mut cache = self.alive_cache.borrow_mut();
-        let ids = cache.get_or_insert_with(|| self.node_ids());
-        assert!(!ids.is_empty(), "ring has no alive nodes");
-        ids[rng.uniform_index(ids.len())]
+        let values = self.table.values();
+        assert!(!values.is_empty(), "ring has no alive nodes");
+        ChordId::new(values[rng.uniform_index(values.len())], self.space)
     }
 
     /// Ground truth: the alive node owning hash `h` (its ring successor),
-    /// or `None` on an empty ring. O(log S) on the in-memory map; used for
-    /// bootstrap and validation, not by the routed protocol.
+    /// or `None` on an empty ring. A binary search over the alive nodes;
+    /// used for bootstrap and validation, not by the routed protocol.
     pub fn owner_of(&self, h: u64) -> Option<ChordId> {
-        let h = h & self.space.mask();
-        self.nodes
-            .range(h..)
-            .chain(self.nodes.range(..h))
-            .find(|(_, n)| n.is_alive())
-            .map(|(_, n)| n.id())
+        self.table.owner_of(h)
     }
 
     /// Ground truth: the alive node strictly preceding `h` on the ring.
     pub fn predecessor_of(&self, h: u64) -> Option<ChordId> {
-        let h = h & self.space.mask();
-        self.nodes
-            .range(..h)
-            .rev()
-            .chain(self.nodes.range(h..).rev())
-            .find(|(_, n)| n.is_alive())
-            .map(|(_, n)| n.id())
+        self.table.predecessor_of(h)
     }
 
     /// Installs exact routing state on every alive node: perfect fingers,
     /// successor lists and predecessors. Equivalent to running the
     /// maintenance protocol to convergence, in O(S·M·log S) time.
     pub fn build_stable(&mut self) {
-        let ids: Vec<ChordId> = self.node_ids();
-        if ids.is_empty() {
-            return;
+        let n = self.table.len();
+        if n > 0 {
+            self.install_tables(self.succ_list_len.min(n));
         }
-        let r = self.succ_list_len.min(ids.len());
-        self.install_tables(&ids, r);
-    }
-
-    /// Owner of `h` among the sorted alive ids — binary search plus
-    /// wrap-around. Identical to [`SimNet::owner_of`] whenever `ids`
-    /// holds exactly the alive nodes in ring order (the stabilization
-    /// paths' precondition), without the per-query tree walk over dead
-    /// nodes' corpses.
-    fn owner_in(ids: &[ChordId], h: u64) -> ChordId {
-        let i = ids.partition_point(|id| id.value() < h);
-        ids[if i == ids.len() { 0 } else { i }]
     }
 
     /// The ground-truth routing tables of the node at ring position
     /// `pos`: successor list of length `r` (`[self]` on a one-node
-    /// ring), predecessor, and all `m` fingers. A pure function of the
-    /// sorted alive-id slice — which is what lets
-    /// [`SimNet::install_tables`] partition the computation over worker
-    /// threads without any risk to determinism.
+    /// ring), predecessor, and all fingers. A pure function of the alive
+    /// membership — which is what lets [`SimNet::install_tables`]
+    /// partition the computation over worker threads without any risk to
+    /// determinism.
     fn tables_for(
-        ids: &[ChordId],
+        table: &RouteTable,
+        id: ChordId,
         pos: usize,
         r: usize,
-        m: usize,
-    ) -> (Vec<ChordId>, Option<ChordId>, Vec<ChordId>) {
-        let n = ids.len();
-        let id = ids[pos];
-        let succ_list: Vec<ChordId> = if n == 1 {
-            vec![id]
+    ) -> (Vec<u64>, Option<u64>, Vec<u64>) {
+        let values = table.values();
+        let n = values.len();
+        let succ_list: Vec<u64> = if n == 1 {
+            vec![id.value()]
         } else {
-            (1..=r).map(|k| ids[(pos + k) % n]).collect()
+            (1..=r).map(|k| values[(pos + k) % n]).collect()
         };
-        let pred = (n > 1).then(|| ids[(pos + n - 1) % n]);
-        let fingers = (0..m)
-            .map(|k| Self::owner_in(ids, id.add_power_of_two(k as u32).value()))
+        let pred = (n > 1).then(|| values[(pos + n - 1) % n]);
+        let fingers = (0..id.space().bits())
+            .map(|k| Self::finger_owner(table, id, k))
             .collect();
         (succ_list, pred, fingers)
     }
 
+    /// Ground truth for finger `k` of `id`: the owner of `id + 2^k`.
+    fn finger_owner(table: &RouteTable, id: ChordId, k: u32) -> u64 {
+        let target = id.add_power_of_two(k).value();
+        table
+            .owner_of(target)
+            .expect("ring has alive nodes")
+            .value()
+    }
+
     /// Computes every alive node's ground-truth tables — partitioned
     /// over `stabilize_workers` contiguous ring chunks when the ring is
-    /// big enough to pay for the threads — then installs them in ring
-    /// order. Bit-for-bit identical for every worker count: the chunks
-    /// are disjoint, the computation is pure, and installation happens
-    /// on one thread in one order.
-    fn install_tables(&mut self, ids: &[ChordId], r: usize) {
+    /// big enough to pay for the threads — then writes them into the
+    /// routing table in ring order. Bit-for-bit identical for every
+    /// worker count: the chunks are disjoint, the computation is pure,
+    /// and the writes happen on one thread in one order.
+    fn install_tables(&mut self, r: usize) {
         const PAR_STABILIZE_MIN: usize = 1024;
-        let m = self.space.bits() as usize;
         let workers = self.stabilize_workers;
+        let (table, space) = (&self.table, self.space);
+        let values = table.values();
         let compute_range = |lo: usize, hi: usize| {
             (lo..hi)
-                .map(|pos| Self::tables_for(ids, pos, r, m))
+                .map(|pos| Self::tables_for(table, ChordId::new(values[pos], space), pos, r))
                 .collect()
         };
-        let all: Vec<(Vec<ChordId>, Option<ChordId>, Vec<ChordId>)> =
-            if workers > 1 && ids.len() >= PAR_STABILIZE_MIN {
-                let chunk = ids.len().div_ceil(workers);
-                let mut out = Vec::with_capacity(ids.len());
+        let all: Vec<(Vec<u64>, Option<u64>, Vec<u64>)> =
+            if workers > 1 && values.len() >= PAR_STABILIZE_MIN {
+                let chunk = values.len().div_ceil(workers);
+                let mut out = Vec::with_capacity(values.len());
                 std::thread::scope(|scope| {
                     let compute = &compute_range;
                     let handles: Vec<_> = (0..workers)
                         .map(|w| {
-                            let lo = (w * chunk).min(ids.len());
-                            let hi = ((w + 1) * chunk).min(ids.len());
+                            let lo = (w * chunk).min(values.len());
+                            let hi = ((w + 1) * chunk).min(values.len());
                             scope.spawn(move || compute(lo, hi))
                         })
                         .collect();
@@ -300,25 +289,16 @@ impl SimNet {
                 });
                 out
             } else {
-                compute_range(0, ids.len())
+                compute_range(0, values.len())
             };
-        for (pos, (succ_list, pred, fingers)) in all.into_iter().enumerate() {
-            let node = self
-                .nodes
-                .get_mut(&ids[pos].value())
-                .expect("id from node_ids");
-            node.set_successor_list(succ_list);
-            node.set_predecessor(pred);
-            for (k, f) in fingers.into_iter().enumerate() {
-                node.set_finger(k, f);
-            }
+        for (row, (succ_list, pred, fingers)) in all.into_iter().enumerate() {
+            self.table.install_row(row, &succ_list, pred, &fingers);
         }
-        self.invalidate_succ_cache();
     }
 
     /// Pure routed lookup: resolves the successor of `h` starting at
-    /// `start` using only per-node state, counting hops. Does not touch
-    /// statistics; see [`SimNet::find_successor`].
+    /// `start` by walking the routing table, counting hops. Does not
+    /// touch statistics; see [`SimNet::find_successor`].
     ///
     /// # Panics
     ///
@@ -326,85 +306,17 @@ impl SimNet {
     /// into a cycle (only possible when maintenance has never run after
     /// severe membership changes).
     pub fn route(&self, start: ChordId, h: u64) -> LookupResult {
-        self.route_visit(start, h, |_, _| ())
+        self.table.route(start, h)
     }
 
-    /// [`SimNet::route`], additionally returning the per-hop path as
-    /// `(from, to)` pairs — one pair per inter-node message — so callers
-    /// can charge each hop its own link cost (latency, loss) through a
-    /// transport. `path.len()` always equals the returned hop count.
+    /// [`SimNet::route`], additionally returning the per-hop path (see
+    /// [`RouteTable::route_with_path`]).
     pub fn route_with_path(
         &self,
         start: ChordId,
         h: u64,
     ) -> (LookupResult, Vec<(ChordId, ChordId)>) {
-        let mut path = Vec::new();
-        let result = self.route_visit(start, h, |from, to| path.push((from, to)));
-        debug_assert_eq!(path.len(), result.hops as usize);
-        (result, path)
-    }
-
-    /// The routing engine: `visit(from, to)` fires once per inter-node
-    /// hop, in order. Monomorphized with a no-op visitor this is exactly
-    /// the old allocation-free `route`.
-    fn route_visit<F: FnMut(ChordId, ChordId)>(
-        &self,
-        start: ChordId,
-        h: u64,
-        mut visit: F,
-    ) -> LookupResult {
-        assert!(self.is_alive(start), "lookup must start at an alive node");
-        let target = ChordId::new(h, self.space);
-        let mut current = start;
-        let mut hops = 0u32;
-        let hop_limit = 4 * self.space.bits() + self.nodes.len() as u32 + 8;
-        loop {
-            if target.value() == current.value() {
-                return LookupResult {
-                    owner: current,
-                    hops,
-                };
-            }
-            let node = &self.nodes[&current.value()];
-            let succ = self.first_alive_successor(node);
-            if succ == current {
-                // Solitary (or fully isolated) node owns everything.
-                return LookupResult {
-                    owner: current,
-                    hops,
-                };
-            }
-            if target.in_half_open_interval(current, succ) {
-                visit(current, succ);
-                return LookupResult {
-                    owner: succ,
-                    hops: hops + 1,
-                };
-            }
-            let next = node.closest_preceding(target, |c| self.is_alive(c));
-            let next = if next == current { succ } else { next };
-            visit(current, next);
-            current = next;
-            hops += 1;
-            assert!(
-                hops <= hop_limit,
-                "routing cycle: {start:?} -> {h:#x} exceeded {hop_limit} hops"
-            );
-        }
-    }
-
-    fn first_alive_successor(&self, node: &ChordNode) -> ChordId {
-        if let Some(&cached) = self.succ_cache.borrow().get(&node.id().value()) {
-            return cached;
-        }
-        let succ = node
-            .successor_list()
-            .iter()
-            .copied()
-            .find(|&s| self.is_alive(s))
-            .unwrap_or_else(|| node.id());
-        self.succ_cache.borrow_mut().insert(node.id().value(), succ);
-        succ
+        self.table.route_with_path(start, h)
     }
 
     /// The first `r` distinct *alive* ring successors of `id`, in
@@ -413,21 +325,19 @@ impl SimNet {
     /// successor-list replication places key-group state on — so it can
     /// lag ground truth between maintenance rounds, exactly as a real
     /// deployment's would. Returns fewer than `r` entries on small rings
-    /// and an empty vector for unknown nodes.
+    /// and an empty vector for unknown or failed nodes.
     pub fn alive_successors(&self, id: ChordId, r: usize) -> Vec<ChordId> {
-        if r == 0 {
-            return Vec::new();
-        }
-        let Some(node) = self.nodes.get(&id.value()) else {
+        let Some(row) = self.table.row_of(id.value()) else {
             return Vec::new();
         };
         let mut out: Vec<ChordId> = Vec::with_capacity(r);
-        for &s in node.successor_list() {
-            if s != id && self.is_alive(s) && !out.contains(&s) {
+        for s in self.table.usable_succs(row) {
+            let s = ChordId::new(s, self.space);
+            if out.len() == r {
+                break;
+            }
+            if s != id && !out.contains(&s) {
                 out.push(s);
-                if out.len() == r {
-                    break;
-                }
             }
         }
         out
@@ -437,7 +347,7 @@ impl SimNet {
     /// CLASH builds on (§4 of the paper).
     pub fn find_successor(&mut self, start: ChordId, h: u64) -> LookupResult {
         let result = self.route(start, h);
-        self.record_lookup(result);
+        self.record_routed_lookup(result.hops);
         result
     }
 
@@ -449,17 +359,13 @@ impl SimNet {
         h: u64,
     ) -> (LookupResult, Vec<(ChordId, ChordId)>) {
         let (result, path) = self.route_with_path(start, h);
-        self.record_lookup(result);
+        self.record_routed_lookup(result.hops);
         (result, path)
     }
 
-    fn record_lookup(&mut self, result: LookupResult) {
-        self.record_routed_lookup(result.hops);
-    }
-
     /// Records the statistics of one lookup that was already routed
-    /// elsewhere — the sharded batch path resolves probes against a
-    /// [`RouteSnapshot`] on worker threads and replays the accounting
+    /// elsewhere — the sharded batch path routes probes over
+    /// [`SimNet::table`] on worker threads and replays the accounting
     /// here in plan order, so [`SimNet::stats`] stays bit-for-bit what
     /// the sequential [`SimNet::find_successor_path`] calls would have
     /// produced.
@@ -501,69 +407,62 @@ impl SimNet {
         if !self.add_node(new_id) {
             return None;
         }
-        let lookup = self.route(bootstrap, new_id.value());
-        let succ = lookup.owner;
+        let lookup = self.table.route(bootstrap, new_id.value());
+        let succ = lookup.owner.value();
         let mut messages = lookup.hops;
-        let m = self.space.bits() as usize;
-        let mut fingers = Vec::with_capacity(m);
+        let m = self.space.bits();
+        let mut fingers = Vec::with_capacity(m as usize);
         for k in 0..m {
-            let target = new_id.add_power_of_two(k as u32);
-            let r = self.route(succ, target.value());
-            fingers.push(r.owner);
+            let target = new_id.add_power_of_two(k);
+            let r = self.table.route(lookup.owner, target.value());
+            fingers.push(r.owner.value());
             messages = messages.saturating_add(r.hops);
         }
+        let succ_row = self.table.row_of(succ).expect("lookup owners are alive");
         let mut succ_list = vec![succ];
         succ_list.extend(
-            self.nodes[&succ.value()]
-                .successor_list()
-                .iter()
-                .copied()
-                .filter(|&s| s != new_id && s != succ && self.is_alive_raw(s)),
+            self.table
+                .usable_succs(succ_row)
+                .filter(|&s| s != new_id.value() && s != succ),
         );
         succ_list.truncate(self.succ_list_len);
-        let node = self
-            .nodes
-            .get_mut(&new_id.value())
-            .expect("node just added");
-        node.set_successor_list(succ_list);
-        node.set_predecessor(None);
+        let row = self.table.row_of(new_id.value()).expect("node just added");
+        self.table.set_successors(row, &succ_list);
+        self.table.set_pred(row, None);
         for (k, f) in fingers.into_iter().enumerate() {
-            node.set_finger(k, f);
+            self.table.set_finger(row, k, f);
         }
-        self.invalidate_succ_cache();
         Some(messages)
     }
 
-    /// Marks a node failed (crash model: no goodbye messages).
+    /// Marks a node failed (crash model: no goodbye messages). Its row
+    /// leaves the routing table; its identifier stays taken.
     ///
     /// Returns false if the node was missing or already dead.
     pub fn fail(&mut self, id: ChordId) -> bool {
-        match self.nodes.get_mut(&id.value()) {
-            Some(n) if n.is_alive() => {
-                n.mark_failed();
-                self.invalidate_succ_cache();
-                true
-            }
-            _ => false,
+        if !self.table.remove(id.value()) {
+            return false;
         }
+        self.corpses.insert(id.value());
+        self.table.set_corpses(self.corpses.len());
+        true
     }
 
-    /// Removes failed nodes' state entirely (garbage collection).
+    /// Forgets failed nodes entirely (garbage collection).
     pub fn remove_failed(&mut self) {
-        self.nodes.retain(|_, n| n.is_alive());
-        self.invalidate_succ_cache();
+        self.corpses.clear();
+        self.table.set_corpses(0);
     }
 
-    /// Removes a node's state entirely — the graceful-departure model: the
-    /// node announced, handed its keys off, and left, so no corpse remains
-    /// (contrast with [`SimNet::fail`], which leaves stale state behind the
-    /// way a crashed host would). Survivors' pointers to it are repaired by
-    /// the maintenance protocol. Returns false if the id is unknown.
+    /// Removes a node entirely — the graceful-departure model: the node
+    /// announced, handed its keys off, and left, so its identifier is free
+    /// again (contrast with [`SimNet::fail`], which leaves the identifier
+    /// taken the way a crashed host would). Survivors' pointers to it are
+    /// repaired by the maintenance protocol. Returns false if the id is
+    /// unknown.
     pub fn remove_node(&mut self, id: ChordId) -> bool {
-        let removed = self.nodes.remove(&id.value()).is_some();
-        if removed {
-            self.invalidate_succ_cache();
-        }
+        let removed = self.table.remove(id.value()) || self.corpses.remove(&id.value());
+        self.table.set_corpses(self.corpses.len());
         removed
     }
 
@@ -580,13 +479,13 @@ impl SimNet {
     }
 
     fn stabilize_one(&mut self, id: ChordId) -> bool {
-        if !self.is_alive(id) {
+        let Some(row) = self.table.row_of(id.value()) else {
             return false;
-        }
+        };
+        let cid = |v: u64| ChordId::new(v, self.space);
         let mut changed = false;
-        let node = &self.nodes[&id.value()];
-        let mut succ = self.first_alive_successor(node);
-        if succ == id && self.alive_count() > 1 {
+        let mut succ = cid(self.table.first_succ(row));
+        if succ == id && self.table.len() > 1 {
             // Lost all successors: re-discover via ground truth (models
             // out-of-band rejoin, needed only after catastrophic failures).
             succ = self
@@ -595,69 +494,49 @@ impl SimNet {
         }
         // successor's predecessor may be a closer successor for us.
         if succ != id {
-            if let Some(x) = self.nodes[&succ.value()].predecessor() {
+            let succ_row = self.table.row_of(succ.value()).expect("alive successor");
+            if let Some(x) = self.table.pred(succ_row).map(cid) {
                 if self.is_alive(x) && x.in_open_interval(id, succ) {
                     succ = x;
                 }
             }
         }
         // Refresh our successor list from succ's list.
-        let mut list = vec![succ];
+        let succ_row = self.table.row_of(succ.value()).expect("alive successor");
+        let mut list = vec![succ.value()];
         if succ != id {
-            let succ_node = &self.nodes[&succ.value()];
             list.extend(
-                succ_node
-                    .successor_list()
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.is_alive(s) && s != id),
+                self.table
+                    .usable_succs(succ_row)
+                    .filter(|&s| s != id.value()),
             );
         }
         list.dedup();
         list.truncate(self.succ_list_len);
-        let list_changed = {
-            let node = self.nodes.get_mut(&id.value()).expect("alive node");
-            if node.successor_list() != list.as_slice() {
-                node.set_successor_list(list);
-                true
-            } else {
-                false
-            }
-        };
-        if list_changed {
-            self.invalidate_succ_cache();
+        if !self.table.succ_values(row).eq(list.iter().copied()) {
+            self.table.set_successors(row, &list);
             changed = true;
         }
         // Drop a dead predecessor.
-        if let Some(p) = self.nodes[&id.value()].predecessor() {
-            if !self.nodes.get(&p.value()).is_some_and(|n| n.is_alive()) {
-                self.nodes
-                    .get_mut(&id.value())
-                    .expect("alive node")
-                    .set_predecessor(None);
+        if let Some(p) = self.table.pred(row) {
+            if self.table.row_of(p).is_none() {
+                self.table.set_pred(row, None);
                 changed = true;
             }
         }
         // Notify: tell succ about us.
         if succ != id {
-            let current_pred = self.nodes[&succ.value()].predecessor();
+            let current_pred = self.table.pred(succ_row).map(cid);
             let adopt = match current_pred {
                 None => true,
-                Some(p) => !self.is_alive_raw(p) || id.in_open_interval(p, succ),
+                Some(p) => !self.is_alive(p) || id.in_open_interval(p, succ),
             };
             if adopt && current_pred != Some(id) {
-                self.nodes
-                    .get_mut(&succ.value())
-                    .expect("alive succ")
-                    .set_predecessor(Some(id));
+                self.table.set_pred(succ_row, Some(id.value()));
                 changed = true;
             }
         }
         changed
-    }
-
-    fn is_alive_raw(&self, id: ChordId) -> bool {
-        self.nodes.get(&id.value()).is_some_and(|n| n.is_alive())
     }
 
     /// One round of finger repair on every alive node: recompute each
@@ -665,15 +544,14 @@ impl SimNet {
     /// changed.
     pub fn fix_fingers_round(&mut self) -> bool {
         let ids = self.node_ids();
-        let m = self.space.bits() as usize;
+        let m = self.space.bits();
         let mut changed = false;
-        for id in ids {
+        for (row, id) in ids.into_iter().enumerate() {
             for k in 0..m {
-                let target = id.add_power_of_two(k as u32);
-                let owner = self.route(id, target.value()).owner;
-                let node = self.nodes.get_mut(&id.value()).expect("alive node");
-                if node.fingers()[k] != owner {
-                    node.set_finger(k, owner);
+                let target = id.add_power_of_two(k);
+                let owner = self.table.route(id, target.value()).owner.value();
+                if self.table.finger(row, k as usize) != owner {
+                    self.table.set_finger(row, k as usize, owner);
                     changed = true;
                 }
             }
@@ -699,10 +577,8 @@ impl SimNet {
     /// the successor list, predecessor and fingers that iterating
     /// [`SimNet::stabilize_round`] + [`SimNet::fix_fingers_round`] to
     /// quiescence produces (pinned state-for-state by the
-    /// `stabilize_direct_*` differential tests). Dead nodes keep their
-    /// stale state untouched, exactly as the round-based protocol leaves
-    /// them. Returns the round count to report (always 1 — one logical
-    /// maintenance round).
+    /// `stabilize_direct_*` differential tests). Returns the round count
+    /// to report (always 1 — one logical maintenance round).
     ///
     /// The fixpoint differs from [`SimNet::build_stable`] only on rings
     /// smaller than the successor-list length: stabilization's list
@@ -711,81 +587,28 @@ impl SimNet {
     /// `build_stable` pads with `self` — which is why the membership path
     /// must use this method, not `build_stable`.
     pub fn stabilize_direct(&mut self) -> usize {
-        let ids = self.node_ids();
-        if ids.is_empty() {
-            return 1;
+        let n = self.table.len();
+        if n > 0 {
+            self.install_tables(self.succ_list_len.min(n - 1));
         }
-        let r = self.succ_list_len.min(ids.len() - 1);
-        self.install_tables(&ids, r);
         1
-    }
-
-    /// Freezes the current routing state into a `Sync`
-    /// [`RouteSnapshot`] whose `route_with_path` is bit-for-bit
-    /// [`SimNet::route_with_path`] — for routing batched lookups on
-    /// worker threads between membership events.
-    pub fn snapshot(&self) -> RouteSnapshot {
-        let m = self.space.bits() as usize;
-        let hop_limit = 4 * self.space.bits() + self.nodes.len() as u32 + 8;
-        let alive: Vec<&ChordNode> = self.nodes.values().filter(|n| n.is_alive()).collect();
-        let mut values = Vec::with_capacity(alive.len());
-        let mut first_succ = Vec::with_capacity(alive.len());
-        let mut fingers = Vec::with_capacity(alive.len() * m);
-        let mut succs = Vec::new();
-        let mut succ_offsets = Vec::with_capacity(alive.len() + 1);
-        succ_offsets.push(0u32);
-        for node in alive {
-            values.push(node.id().value());
-            first_succ.push(self.first_alive_successor(node).value());
-            fingers.extend(
-                node.fingers()
-                    .iter()
-                    .map(|&f| (f.value(), self.is_alive_raw(f))),
-            );
-            succs.extend(
-                node.successor_list()
-                    .iter()
-                    .map(|&s| (s.value(), self.is_alive_raw(s))),
-            );
-            succ_offsets.push(succs.len() as u32);
-        }
-        RouteSnapshot {
-            space: self.space,
-            hop_limit,
-            values,
-            first_succ,
-            fingers,
-            succs,
-            succ_offsets,
-        }
     }
 
     /// True if every alive node's successor, predecessor and fingers match
     /// ground truth — the post-condition of successful maintenance.
     pub fn is_fully_stabilized(&self) -> bool {
-        let ids = self.node_ids();
-        if ids.is_empty() {
-            return true;
-        }
-        for (pos, &id) in ids.iter().enumerate() {
-            let node = &self.nodes[&id.value()];
-            let true_succ = ids[(pos + 1) % ids.len()];
-            if ids.len() > 1 && self.first_alive_successor(node) != true_succ {
-                return false;
-            }
-            let true_pred = ids[(pos + ids.len() - 1) % ids.len()];
-            if ids.len() > 1 && node.predecessor() != Some(true_pred) {
-                return false;
-            }
-            for k in 0..self.space.bits() as usize {
-                let target = id.add_power_of_two(k as u32);
-                let owner = self.owner_of(target.value()).expect("non-empty");
-                if node.fingers()[k] != owner {
-                    return false;
-                }
-            }
-        }
-        true
+        let values = self.table.values();
+        let n = values.len();
+        (0..n).all(|row| {
+            let id = ChordId::new(values[row], self.space);
+            let ring_ok = n == 1
+                || (self.table.first_succ(row) == values[(row + 1) % n]
+                    && self.table.pred(row) == Some(values[(row + n - 1) % n]));
+            ring_ok
+                && (0..self.space.bits()).all(|k| {
+                    self.table.finger(row, k as usize) == Self::finger_owner(&self.table, id, k)
+                })
+        })
     }
 }
 
@@ -793,7 +616,7 @@ impl fmt::Debug for SimNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNet")
             .field("space", &self.space)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &(self.table.len() + self.corpses.len()))
             .field("alive", &self.alive_count())
             .field("stats", &self.stats)
             .finish()
@@ -1120,6 +943,11 @@ mod tests {
             let plain = net.route(start, h);
             let (routed, path) = net.route_with_path(start, h);
             assert_eq!(plain, routed);
+            assert_eq!(
+                (routed, path.clone()),
+                crate::snapshot::reference::route(&net, start, h),
+                "the router must walk the reference's path"
+            );
             assert_eq!(path.len(), routed.hops as usize);
             // The path is a connected chain from start to the owner.
             let mut at = start;
@@ -1242,7 +1070,7 @@ mod tests {
         proto.stabilize_until_converged(256);
         direct.stabilize_direct();
         assert_same_routing_state(&proto, &direct, "mass failure");
-        // Dead nodes keep stale state in both worlds.
+        // Dead nodes keep their identifiers in both worlds.
         for &id in ids.iter().take(20) {
             assert!(proto.node(id).is_some() && direct.node(id).is_some());
         }

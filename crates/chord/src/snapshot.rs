@@ -1,226 +1,61 @@
-//! An immutable, thread-shareable snapshot of the ring's routing state.
+//! Differential pins for the ring's one router, against a plain snapshot
+//! of the node state.
 //!
-//! The sharded simulation path routes batched locate probes on worker
-//! threads. `SimNet` itself cannot cross threads (it memoizes through
-//! `RefCell` caches), so [`crate::net::SimNet::snapshot`] flattens every
-//! alive node's routing state — first alive successor, finger table,
-//! successor list, each entry pre-resolved to "usable" (present *and*
-//! alive) — into this `Sync` structure. [`RouteSnapshot::route_with_path`]
-//! then replays the exact `route_visit` algorithm over the flat arrays:
-//! same hop sequence, same owner, same path, same hop-limit panic, pinned
-//! by the differential tests below. Between membership events the routing
-//! state is static, so one snapshot serves every probe of a batch.
+//! [`crate::node::RouteTable`] keeps every alive node's routing state in
+//! flat rows with each entry pre-resolved to usable or not, and every
+//! membership or maintenance event patches it in place. The reference
+//! (`tests/reference/mod.rs`) instead snapshots each node's plain finger
+//! table and successor list through [`SimNet::node`] and runs the
+//! textbook walk, checking liveness per entry. The tests below require
+//! the same owner, hop count and per-hop path on a stable ring, with
+//! failures before maintenance, across the join/departure transient and
+//! on a single node; the property test requires that after any sequence
+//! of membership and maintenance steps the maintained table equals one
+//! rebuilt from scratch and still routes like the reference.
 
-use clash_keyspace::hash::HashSpace;
+#[path = "../tests/reference/mod.rs"]
+pub(crate) mod reference;
 
 use crate::id::ChordId;
-use crate::net::LookupResult;
-
-/// A frozen copy of every alive node's routing state, indexed by ring
-/// position. Safe to share across threads (`&self` routing only).
-#[derive(Debug, Clone)]
-pub struct RouteSnapshot {
-    pub(crate) space: HashSpace,
-    /// `4 * bits + total node count (incl. corpses) + 8`, mirroring
-    /// `route_visit`'s cycle guard exactly.
-    pub(crate) hop_limit: u32,
-    /// Alive node values in ring order; binary-searched to map a value to
-    /// its row in the arrays below.
-    pub(crate) values: Vec<u64>,
-    /// Per node: first *alive* entry of its successor list (itself when
-    /// none) — the memoized `first_alive_successor`.
-    pub(crate) first_succ: Vec<u64>,
-    /// Flattened finger tables, `bits` entries per node, each entry the
-    /// raw finger value plus whether that node is present and alive.
-    pub(crate) fingers: Vec<(u64, bool)>,
-    /// Flattened successor lists (variable length per node).
-    pub(crate) succs: Vec<(u64, bool)>,
-    /// `succs` row boundaries: node `i` owns `succs[offsets[i]..offsets[i+1]]`.
-    pub(crate) succ_offsets: Vec<u32>,
-}
-
-/// Wrapping ring distance from `a` to `x` (the `ChordId::distance_to`
-/// arithmetic on raw values).
-#[inline]
-fn dist(a: u64, x: u64, mask: u64) -> u64 {
-    x.wrapping_sub(a) & mask
-}
-
-/// `x ∈ (a, b)` on the ring; `a == b` means "everything but `a`".
-#[inline]
-fn in_open(x: u64, a: u64, b: u64, mask: u64) -> bool {
-    if a == b {
-        return x != a;
-    }
-    let d_self = dist(a, x, mask);
-    d_self > 0 && d_self < dist(a, b, mask)
-}
-
-/// `x ∈ (a, b]` on the ring; `a == b` means the whole ring.
-#[inline]
-fn in_half_open(x: u64, a: u64, b: u64, mask: u64) -> bool {
-    if a == b {
-        return true;
-    }
-    let d_self = dist(a, x, mask);
-    d_self > 0 && d_self <= dist(a, b, mask)
-}
-
-impl RouteSnapshot {
-    /// The hash space the snapshot was taken over.
-    pub fn space(&self) -> HashSpace {
-        self.space
-    }
-
-    /// Number of alive nodes captured.
-    pub fn alive_count(&self) -> usize {
-        self.values.len()
-    }
-
-    fn index_of(&self, value: u64) -> Option<usize> {
-        self.values.binary_search(&value).ok()
-    }
-
-    /// The row index of the alive node owning hash `h` (its ring
-    /// successor) — ground truth over the frozen membership.
-    fn owner_index_of(&self, h: u64) -> usize {
-        debug_assert!(!self.values.is_empty());
-        let h = h & self.space.mask();
-        match self.values.binary_search(&h) {
-            Ok(i) => i,
-            Err(i) => i % self.values.len(),
-        }
-    }
-
-    /// Ground truth over the frozen membership: the alive node owning
-    /// hash `h`. Mirrors `SimNet::owner_of` (always `Some` here — a
-    /// snapshot of an empty ring routes nothing).
-    pub fn owner_of(&self, h: u64) -> Option<ChordId> {
-        if self.values.is_empty() {
-            return None;
-        }
-        Some(ChordId::new(
-            self.values[self.owner_index_of(h)],
-            self.space,
-        ))
-    }
-
-    /// `closest_preceding` over the flat arrays: farthest usable finger in
-    /// `(current, target)`, else farthest such successor-list entry, else
-    /// the first usable successor-list entry, else `current`.
-    fn closest_preceding(&self, idx: usize, current: u64, target: u64) -> u64 {
-        let mask = self.space.mask();
-        let m = self.space.bits() as usize;
-        for &(f, usable) in self.fingers[idx * m..(idx + 1) * m].iter().rev() {
-            if in_open(f, current, target, mask) && usable {
-                return f;
-            }
-        }
-        let row = &self.succs[self.succ_offsets[idx] as usize..self.succ_offsets[idx + 1] as usize];
-        for &(s, usable) in row.iter().rev() {
-            if in_open(s, current, target, mask) && usable {
-                return s;
-            }
-        }
-        row.iter()
-            .copied()
-            .find_map(|(s, usable)| usable.then_some(s))
-            .unwrap_or(current)
-    }
-
-    /// The routed lookup, bit-for-bit identical to
-    /// [`crate::net::SimNet::route_with_path`] on the network the snapshot
-    /// was taken from: same owner, same hop count, same per-hop path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not an alive node of the snapshot, or if
-    /// routing exceeds the hop limit (same cycle guard as the live net).
-    pub fn route_with_path(
-        &self,
-        start: ChordId,
-        h: u64,
-    ) -> (LookupResult, Vec<(ChordId, ChordId)>) {
-        let mask = self.space.mask();
-        let target = h & mask;
-        let mut idx = self
-            .index_of(start.value())
-            .expect("lookup must start at an alive node");
-        let mut hops = 0u32;
-        let mut path: Vec<(ChordId, ChordId)> = Vec::new();
-        let id = |v: u64| ChordId::new(v, self.space);
-        loop {
-            let current = self.values[idx];
-            if target == current {
-                return (
-                    LookupResult {
-                        owner: id(current),
-                        hops,
-                    },
-                    path,
-                );
-            }
-            let succ = self.first_succ[idx];
-            if succ == current {
-                // Solitary (or fully isolated) node owns everything.
-                return (
-                    LookupResult {
-                        owner: id(current),
-                        hops,
-                    },
-                    path,
-                );
-            }
-            if in_half_open(target, current, succ, mask) {
-                path.push((id(current), id(succ)));
-                return (
-                    LookupResult {
-                        owner: id(succ),
-                        hops: hops + 1,
-                    },
-                    path,
-                );
-            }
-            let next = self.closest_preceding(idx, current, target);
-            let next = if next == current { succ } else { next };
-            path.push((id(current), id(next)));
-            idx = self
-                .index_of(next)
-                .expect("routing only visits alive nodes");
-            hops += 1;
-            assert!(
-                hops <= self.hop_limit,
-                "routing cycle: {start:?} -> {h:#x} exceeded {} hops",
-                self.hop_limit
-            );
-        }
-    }
-}
+use crate::net::{LookupResult, SimNet};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::SimNet;
+    use crate::node::RouteTable;
+    use clash_keyspace::hash::HashSpace;
     use clash_simkernel::rng::DetRng;
+    use proptest::prelude::*;
 
     fn space() -> HashSpace {
         HashSpace::new(16).unwrap()
     }
 
-    fn assert_snapshot_matches(net: &SimNet, label: &str) {
-        let snap = net.snapshot();
-        assert_eq!(snap.alive_count(), net.alive_count(), "{label}");
+    /// Routes `probes` random lookups both ways and requires identical
+    /// results, paths and ground truth, and a table that matches a
+    /// rebuild.
+    fn assert_routes_match(net: &SimNet, probes: usize, seed: u64, label: &str) {
+        net.table().assert_matches_rebuild();
         let starts = net.node_ids();
-        let mut rng = DetRng::new(0xD1FF);
-        for _ in 0..400 {
+        let mut rng = DetRng::new(seed);
+        for _ in 0..probes {
             let h = rng.next_u64() & space().mask();
             let start = starts[rng.uniform_index(starts.len())];
-            let (live, live_path) = net.route_with_path(start, h);
-            let (snapped, snap_path) = snap.route_with_path(start, h);
-            assert_eq!(live, snapped, "{label}: owner/hops diverged for {h:#x}");
-            assert_eq!(live_path, snap_path, "{label}: path diverged for {h:#x}");
-            assert_eq!(snap.owner_of(h), net.owner_of(h), "{label}: ground truth");
+            let (routed, path) = net.route_with_path(start, h);
+            let (want, want_path) = reference::route(net, start, h);
+            assert_eq!(routed, want, "{label}: owner/hops diverged for {h:#x}");
+            assert_eq!(path, want_path, "{label}: path diverged for {h:#x}");
+            assert_eq!(net.route(start, h), routed, "{label}: route vs path");
+            assert_eq!(
+                net.owner_of(h),
+                reference::owner(net, h),
+                "{label}: ground truth"
+            );
         }
+    }
+
+    fn assert_snapshot_matches(net: &SimNet, label: &str) {
+        assert_routes_match(net, 400, 0xD1FF, label);
     }
 
     #[test]
@@ -236,8 +71,8 @@ mod tests {
     #[test]
     fn snapshot_routes_match_live_net_with_unstabilized_failures() {
         // Kill nodes and do NOT run maintenance: successor lists carry
-        // corpses, fingers name dead nodes — the snapshot's usable flags
-        // must reproduce the live net's skipping behaviour exactly.
+        // corpses, fingers name dead nodes — the table's usable flags
+        // must reproduce the per-entry liveness checks exactly.
         let mut rng = DetRng::new(7);
         let mut net = SimNet::with_random_nodes(space(), 96, &mut rng);
         net.build_stable();
@@ -269,6 +104,10 @@ mod tests {
         // (fingers still name it — "usable" must be false for a removed
         // node, not just a dead one).
         assert_snapshot_matches(&net, "post-join/departure transient");
+        // A departed identifier may come back: every entry still naming
+        // it must become usable again.
+        net.join(leaver, bootstrap);
+        assert_snapshot_matches(&net, "rejoin of a departed id");
     }
 
     #[test]
@@ -277,8 +116,8 @@ mod tests {
         let id = ChordId::new(42, space());
         net.add_node(id);
         net.build_stable();
-        let snap = net.snapshot();
-        let (r, path) = snap.route_with_path(id, 9999);
+        let (r, path) = net.route_with_path(id, 9999);
+        assert_eq!((r, path.clone()), reference::route(&net, id, 9999));
         assert_eq!(r.owner, id);
         assert_eq!(r.hops, 0);
         assert!(path.is_empty());
@@ -287,6 +126,58 @@ mod tests {
     #[test]
     fn snapshot_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
-        assert_sync::<RouteSnapshot>();
+        assert_sync::<RouteTable>();
+    }
+
+    proptest! {
+        /// After every step of a random join / fail / remove / maintenance
+        /// sequence, the maintained table equals one rebuilt from scratch
+        /// and routes exactly like the reference.
+        #[test]
+        fn maintained_table_matches_rebuild_and_reference(
+            seed in 0u64..1000,
+            n in 1usize..24,
+            steps in prop::collection::vec((0u8..7, any::<u64>()), 1..24),
+        ) {
+            let mut rng = DetRng::new(seed);
+            let mut net = SimNet::with_random_nodes(space(), n, &mut rng);
+            net.set_successor_list_len(3);
+            net.build_stable();
+            let mut gone: Vec<ChordId> = Vec::new();
+            for (i, &(op, arg)) in steps.iter().enumerate() {
+                let ids = net.node_ids();
+                let pick = ids[arg as usize % ids.len()];
+                match op {
+                    0 => {
+                        net.join(ChordId::new(arg, space()), pick);
+                    }
+                    1 if ids.len() > 1 => {
+                        net.fail(pick);
+                        gone.push(pick);
+                    }
+                    2 if ids.len() > 1 => {
+                        net.remove_node(pick);
+                        gone.push(pick);
+                    }
+                    2 | 1 => {}
+                    3 => {
+                        net.stabilize_round();
+                    }
+                    4 => {
+                        net.fix_fingers_round();
+                    }
+                    5 => {
+                        net.stabilize_direct();
+                    }
+                    _ => {
+                        // A departed or crashed id tries to come back.
+                        if let Some(&old) = gone.get(arg as usize % gone.len().max(1)) {
+                            net.join(old, pick);
+                        }
+                    }
+                }
+                assert_routes_match(&net, 24, arg ^ i as u64, &format!("step {i} op {op}"));
+            }
+        }
     }
 }

@@ -1,7 +1,12 @@
 //! Property-based tests for ring arithmetic and routing correctness.
+//! Routed lookups are checked against the test-only reference walk
+//! (`reference/mod.rs`) hop for hop, and against linear-scan ground
+//! truth.
+
+mod reference;
 
 use clash_chord::id::ChordId;
-use clash_chord::net::SimNet;
+use clash_chord::net::{LookupResult, SimNet};
 use clash_keyspace::hash::HashSpace;
 use clash_simkernel::rng::DetRng;
 use proptest::prelude::*;
@@ -65,8 +70,9 @@ proptest! {
         let starts = net.node_ids();
         for (i, h) in hashes.into_iter().enumerate() {
             let start = starts[i % starts.len()];
-            let r = net.find_successor(start, h);
-            prop_assert_eq!(Some(r.owner), net.owner_of(h));
+            let (r, path) = net.find_successor_path(start, h);
+            prop_assert_eq!((r, path), reference::route(&net, start, h));
+            prop_assert_eq!(Some(r.owner), reference::owner(&net, h));
             // Perfect fingers: hops ≤ log2(n) + small constant.
             let bound = (n as f64).log2().ceil() as u32 + 3;
             prop_assert!(r.hops <= bound, "hops {} > bound {}", r.hops, bound);
@@ -97,8 +103,9 @@ proptest! {
         let starts = net.node_ids();
         for h in [0u64, 1000, 30000, 65535] {
             let start = starts[h as usize % starts.len()];
-            let r = net.find_successor(start, h);
-            prop_assert_eq!(Some(r.owner), net.owner_of(h));
+            let (r, path) = net.find_successor_path(start, h);
+            prop_assert_eq!((r, path), reference::route(&net, start, h));
+            prop_assert_eq!(Some(r.owner), reference::owner(&net, h));
         }
     }
 }

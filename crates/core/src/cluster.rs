@@ -28,7 +28,6 @@ use std::sync::Arc;
 
 use clash_chord::id::ChordId;
 use clash_chord::net::{LookupResult, SimNet};
-use clash_chord::snapshot::RouteSnapshot;
 use clash_keyspace::cover::{PrefixCover, PrefixMap};
 use clash_keyspace::hash::{KeyHasher, SplitMixHasher};
 use clash_keyspace::key::Key;
@@ -496,10 +495,11 @@ pub struct ClashCluster {
     // probes by target ring arc, deliberately scramble each lane's local
     // order with a labelled substream (adversarial proof that worker
     // scheduling cannot matter), and resolve each probe's DHT route
-    // against a frozen `RouteSnapshot`. **Charge** (sequential, in plan
-    // order via the deterministic merge queue): replay hop stats,
-    // per-link transport costs, message counters and latency
-    // observations exactly as the unbatched path interleaves them.
+    // over the ring's routing table, which no probe mutates. **Charge**
+    // (sequential, in plan order via the deterministic merge queue):
+    // replay hop stats, per-link transport costs, message counters and
+    // latency observations exactly as the unbatched path interleaves
+    // them.
     // `flush_batch` runs at every barrier; results are bit-for-bit
     // identical for every shard count, including 0 (sequential) —
     // pinned by `tests/shard_equivalence.rs` and the
@@ -510,13 +510,10 @@ pub struct ClashCluster {
     batch_touched: BTreeSet<Prefix>,
     /// Monotone flush counter salting the per-shard jitter substreams.
     flush_seq: u64,
-    /// Frozen routing state for the current batch window; dropped by
-    /// every ring-membership mutation, rebuilt lazily at the next flush.
-    route_snapshot: Option<Arc<RouteSnapshot>>,
     /// Speculative first-split placements, keyed by splitter id: the
     /// right child's target hash plus its pre-routed lookup and path,
-    /// resolved per ring arc on scope workers against the frozen
-    /// snapshot at the start of the split phase. `try_split` consults
+    /// resolved per ring arc on scope workers over the ring's routing
+    /// table at the start of the split phase. `try_split` consults
     /// this once per candidate and falls back to live routing whenever
     /// the candidate's hottest group changed since speculation (the
     /// stored hash no longer matches) — so a hit is, provably, the
@@ -644,7 +641,6 @@ impl ClashCluster {
             batch_probes: Vec::new(),
             batch_touched: BTreeSet::new(),
             flush_seq: 0,
-            route_snapshot: None,
             split_route_cache: BTreeMap::new(),
             #[cfg(debug_assertions)]
             route_draw_checks: 0,
@@ -1524,16 +1520,8 @@ impl ClashCluster {
             });
         }
         self.phase_begin(CheckPhase::FlushPlan);
-        let snapshot = match &self.route_snapshot {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(self.net.snapshot());
-                self.route_snapshot = Some(Arc::clone(&s));
-                s
-            }
-        };
         // Runtime mirror of the clash-lint static rules: from here (the
-        // snapshot is frozen) until the merge-queue drain finishes, the
+        // batch is planned) until the merge-queue drain finishes, the
         // cluster RNG must not advance — lane scrambling draws from
         // labelled substreams and routing is pure, so any draw here would
         // make results depend on batch timing.
@@ -1567,15 +1555,17 @@ impl ClashCluster {
         self.flush_seq += 1;
         self.phase_end(CheckPhase::FlushPlan);
         self.phase_begin(CheckPhase::FlushRoute);
-        // Shard phase: resolve each lane's routes against the frozen
-        // snapshot — worker threads when sharding is real and the batch
-        // is big enough to pay for them, inline otherwise (same code
-        // path, same merge discipline).
+        // Shard phase: resolve each lane's routes over the ring's
+        // routing table (read-only until the next barrier) — worker
+        // threads when sharding is real and the batch is big enough to
+        // pay for them, inline otherwise (same code path, same merge
+        // discipline).
         let mut queue: MergeQueue<u64, RoutedProbe> = MergeQueue::new(n_shards);
-        let route_lane = |snap: &RouteSnapshot, lane: Vec<(u64, PlannedProbe)>| {
+        let table = self.net.table();
+        let route_lane = |lane: Vec<(u64, PlannedProbe)>| {
             lane.into_iter()
                 .map(|(seq, plan)| {
-                    let (lookup, path) = snap.route_with_path(plan.start, plan.target);
+                    let (lookup, path) = table.route_with_path(plan.start, plan.target);
                     (
                         seq,
                         RoutedProbe {
@@ -1590,10 +1580,10 @@ impl ClashCluster {
         };
         if n_shards > 1 && probe_count >= PAR_ROUTE_MIN {
             std::thread::scope(|scope| {
-                let snap: &RouteSnapshot = &snapshot;
+                let route_lane = &route_lane;
                 let handles: Vec<_> = lanes
                     .drain(..)
-                    .map(|lane| scope.spawn(move || route_lane(snap, lane)))
+                    .map(|lane| scope.spawn(move || route_lane(lane)))
                     .collect();
                 for (shard, handle) in handles.into_iter().enumerate() {
                     *queue.lane_mut(shard) = handle.join().expect("shard worker panicked");
@@ -1601,7 +1591,7 @@ impl ClashCluster {
             });
         } else {
             for (shard, lane) in lanes.into_iter().enumerate() {
-                *queue.lane_mut(shard) = route_lane(&snapshot, lane);
+                *queue.lane_mut(shard) = route_lane(lane);
             }
         }
         #[cfg(debug_assertions)]
@@ -1609,7 +1599,7 @@ impl ClashCluster {
             assert_eq!(
                 self.rng.draw_count(),
                 draws_at_freeze,
-                "route phase drew from the cluster RNG between snapshot freeze and merge \
+                "route phase drew from the cluster RNG between batch planning and merge \
                  drain; results would depend on batch timing"
             );
             self.route_draw_checks += 1;
@@ -2450,14 +2440,14 @@ impl ClashCluster {
     }
 
     /// Pre-routes the *first* split placement of every overloaded
-    /// candidate, per ring arc on scope workers, against the frozen
-    /// route snapshot. Runs once at the start of the split phase, after
-    /// the opening candidate refresh: routing state cannot change inside
-    /// a load check (ring membership only moves between checks), so the
-    /// snapshot stays valid for the whole phase, and
-    /// [`RouteSnapshot::route_with_path`] is pinned bit-for-bit to the
-    /// live router. Reading the per-arc slices of the overloaded set
-    /// keeps each worker on exactly its own arc's servers; results
+    /// candidate, per ring arc on scope workers, over the ring's routing
+    /// table. Runs once at the start of the split phase, after the
+    /// opening candidate refresh: routing state cannot change inside a
+    /// load check (ring membership only moves between checks), so each
+    /// pre-routed placement is exactly the route
+    /// [`ClashCluster::try_split`]'s own lookup would take. Reading the
+    /// per-arc slices of the overloaded set keeps each worker on exactly
+    /// its own arc's servers; results
     /// funnel back through the [`MergeQueue`] keyed by splitter id.
     ///
     /// Purely an execution-strategy move: `try_split` verifies every
@@ -2471,20 +2461,12 @@ impl ClashCluster {
         if n_shards <= 1 || self.overloaded.len() < PAR_SPECULATE_MIN {
             return;
         }
-        let snapshot = match &self.route_snapshot {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(self.net.snapshot());
-                self.route_snapshot = Some(Arc::clone(&s));
-                s
-            }
-        };
+        let table = self.net.table();
         let servers = &self.servers;
         let hasher = self.hasher;
         let arc_count = self.overloaded.arc_count();
         let mut queue: MergeQueue<u64, SpeculatedRoute> = MergeQueue::new(arc_count);
         std::thread::scope(|scope| {
-            let snap: &RouteSnapshot = &snapshot;
             let handles: Vec<_> = (0..arc_count)
                 .map(|arc| {
                     let ids = self.overloaded.arc(arc);
@@ -2501,7 +2483,7 @@ impl ClashCluster {
                                 continue;
                             };
                             let h = hasher.hash_key(right.virtual_key());
-                            let (lookup, path) = snap.route_with_path(server.id(), h);
+                            let (lookup, path) = table.route_with_path(server.id(), h);
                             lane.push((sid, (h, lookup, path)));
                         }
                         lane
@@ -2566,9 +2548,10 @@ impl ClashCluster {
             let (_, right_prefix) = group.split()?;
             let h = self.hasher.hash_key(right_prefix.virtual_key());
             let (lookup, path) = match speculated.take() {
-                // The speculation targeted exactly this hash, so its
-                // snapshot route is the live route; replay the lookup
-                // accounting the live call would have recorded. A stale
+                // The speculation targeted exactly this hash over the
+                // same routing table, so its route is the live route;
+                // replay the lookup accounting the live call would have
+                // recorded. A stale
                 // entry (the hottest group changed since speculation)
                 // falls through to live routing.
                 Some((spec_h, lookup, path)) if spec_h == h => {
@@ -2931,7 +2914,6 @@ impl ClashCluster {
         // Join lookup + finger seeding, plus the announcement itself.
         self.msgs.handoff_messages += u64::from(join_msgs) + 1;
         let rounds = self.net.stabilize_direct();
-        self.route_snapshot = None;
         self.servers.insert(ClashServer::new(new_id, self.config));
         self.mark_dirty(new_id.value());
         self.msgs.joins += 1;
@@ -3045,7 +3027,6 @@ impl ClashCluster {
         }
         self.net.remove_node(victim);
         let rounds = self.net.stabilize_direct();
-        self.route_snapshot = None;
         let tally = self.migrate_entries(victim, entries)?;
         // The leaver's held replicas vanished with it: re-replicate
         // immediately so no group waits out a load-check period
@@ -3233,7 +3214,6 @@ impl ClashCluster {
             }
         }
         self.net.stabilize_direct();
-        self.route_snapshot = None;
 
         let mut report = FailureReport {
             failed: victims[0],
@@ -4997,7 +4977,7 @@ mod tests {
     }
 
     /// Runtime mirror of the clash-lint static rules, pinned: the sharded
-    /// route phase (snapshot freeze → merge drain) must never draw from
+    /// route phase (batch planned → merge drain) must never draw from
     /// the cluster RNG — the in-phase assertion fails the flush if it
     /// does, and `route_draw_checks` proves the instrumented path really
     /// ran, on both sides of the inline/threaded routing threshold.

@@ -84,8 +84,8 @@ pub struct ClashConfig {
     /// historical sequential semantics. `n ≥ 1` partitions the hash
     /// space into `n` contiguous arcs: client locates are *planned*
     /// synchronously (preserving every RNG draw and ledger mutation in
-    /// op order), their DHT routing is resolved per-arc against a frozen
-    /// routing snapshot (on worker threads when `n > 1`), and the
+    /// op order), their DHT routing is resolved per-arc over the ring's
+    /// routing table (on worker threads when `n > 1`), and the
     /// results are charged through a deterministic merge queue. The
     /// outcome is bit-for-bit identical for every `n`, including `0` —
     /// pinned by `tests/shard_equivalence.rs`.

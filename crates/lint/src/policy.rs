@@ -39,9 +39,9 @@ pub const PROTOCOL_CRATES: &[&str] = &[
 /// virtual time.
 pub const WALL_CLOCK_CRATES: &[&str] = &["sim", "bench", "lint", "obs"];
 
-/// The only files allowed to use `std::thread` (both run worker fan-out
-/// under `std::thread::scope` against frozen snapshots, merging results
-/// deterministically).
+/// The only files allowed to use `std::thread` (each runs worker fan-out
+/// under `std::thread::scope` over state borrowed read-only for the
+/// scope, merging results deterministically).
 pub const REGISTERED_THREAD_SITES: &[&str] = &[
     "crates/core/src/cluster.rs",
     "crates/sim/src/experiments/mod.rs",

@@ -22,8 +22,8 @@ pub enum CheckPhase {
     CandidateRefresh,
     /// LOAD_REPORT delivery to parent-group owners.
     Reports,
-    /// Speculative pre-routing of split placements against the frozen
-    /// snapshot (sharded lanes), ahead of the split cursor walk.
+    /// Speculative pre-routing of split placements over the ring's
+    /// routing table (sharded lanes), ahead of the split cursor walk.
     SplitSpeculate,
     /// The split cursor walk (hot groups, one binary level each).
     Splits,
@@ -33,7 +33,7 @@ pub enum CheckPhase {
     ReplicaSync,
     /// Batch flush: sequential planning of probe order.
     FlushPlan,
-    /// Batch flush: routing against the frozen snapshot (sharded lanes).
+    /// Batch flush: routing over the ring's routing table (sharded lanes).
     FlushRoute,
     /// Batch flush: charging routed probes in plan order.
     FlushMerge,

@@ -84,7 +84,7 @@ impl DetRng {
     ///
     /// This is the runtime mirror of the `clash-lint` static rules: phases
     /// that must not consume protocol randomness — the sharded route phase
-    /// between snapshot freeze and merge drain — assert this stays flat.
+    /// between batch planning and merge drain — assert this stays flat.
     pub fn draw_count(&self) -> u64 {
         self.draws
     }

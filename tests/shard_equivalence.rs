@@ -3,8 +3,8 @@
 //!
 //! `ClashConfig::shards = n` batches client locates per key-space arc:
 //! ops are *planned* synchronously (every RNG draw and ledger mutation
-//! in op order), their DHT routing resolves against a frozen snapshot —
-//! on worker threads when `n > 1` — and the results are charged through
+//! in op order), their DHT routing resolves over the ring's routing
+//! table — on worker threads when `n > 1` — and the results are charged through
 //! a deterministic merge queue at the next barrier. The invariant is
 //! absolute: **zero protocol-behavior change** — same seed ⇒ identical
 //! `RunResult`, bit for bit, for every shard count including the
@@ -44,8 +44,8 @@ fn churn_spec() -> ScenarioSpec {
 }
 
 /// Correlated crash bursts layered on the churn: simultaneous
-/// multi-server failures hit the batched path's snapshot invalidation
-/// and the replication recovery machinery at once.
+/// multi-server failures patch the routing table between batches and
+/// hit the replication recovery machinery at once.
 fn burst_spec() -> ScenarioSpec {
     pin_spec().with_churn(
         ChurnSpec::sustained(SimDuration::from_mins(2), SimDuration::from_mins(3), 8, 64)
